@@ -46,6 +46,13 @@ _PREAMBLE = struct.Struct("<4sII")
 #: before allocating (a corrupt u32 can claim gigabytes).
 _MAX_HEADER = 1 << 24
 
+#: Upper bound on a frame's payload (2 GiB), checked against the
+#: header's ``payload_length`` before anything is allocated.  The
+#: largest frames the executor sends — a whole world's columnar entries
+#: — are orders of magnitude smaller; a header claiming more (or a
+#: negative or non-integer length) is a corrupt frame.
+MAX_PAYLOAD = 1 << 31
+
 
 class ClusterError(Exception):
     """A cluster operation failed (dead worker, corrupt frame, ...).
@@ -197,6 +204,15 @@ def recv_message(
         payload_length = header["payload_length"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ClusterError(f"{source}: corrupted frame header ({exc})") from exc
+    if (
+        isinstance(payload_length, bool)
+        or not isinstance(payload_length, int)
+        or not 0 <= payload_length <= MAX_PAYLOAD
+    ):
+        raise ClusterError(
+            f"{source}: corrupted frame (payload length {payload_length!r} "
+            f"outside 0..{MAX_PAYLOAD})"
+        )
     payload = _recv_exact(sock, payload_length, source)
     if payload is None and payload_length:
         raise ClusterError(f"{source}: connection closed mid-frame (no payload)")

@@ -407,6 +407,35 @@ def _detection_problems(
     return problems
 
 
+def _incremental_problems(
+    ref_detector, detector, reference: DetectionResult, candidate: DetectionResult
+) -> list[str]:
+    """The INCREMENTAL surface beyond the decisions: the round's
+    ``changed_pairs`` and every :class:`RoundStats` field, compared exactly."""
+    problems: list[str] = []
+    if candidate.changed_pairs != reference.changed_pairs:
+        got = candidate.changed_pairs or set()
+        ref = reference.changed_pairs or set()
+        problems.append(
+            f"changed_pairs differ: missing={sorted(ref - got)[:5]} "
+            f"extra={sorted(got - ref)[:5]}"
+        )
+    ref_history = ref_detector.state.history if ref_detector.state else []
+    got_history = detector.state.history if detector.state else []
+    if len(got_history) != len(ref_history):
+        problems.append(
+            f"round stats recorded {len(got_history)} vs {len(ref_history)}"
+        )
+    elif ref_history:
+        got, ref = asdict(got_history[-1]), asdict(ref_history[-1])
+        problems.extend(
+            f"round stats {name} {got[name]} vs {ref[name]}"
+            for name in ref
+            if got[name] != ref[name]
+        )
+    return problems
+
+
 def _compare_detect(reference, candidate, config: CaseConfig) -> list[str]:
     return _detection_problems(
         reference, candidate, config.contract, config.n_partitions, config.method
@@ -635,6 +664,13 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
                     config.method,
                 )
             )
+            if config.method == "incremental" and detection_contract == "bitexact":
+                problems.extend(
+                    f"round {round_no}: {problem}"
+                    for problem in _incremental_problems(
+                        ref_detector, detector, ref_detection, detection
+                    )
+                )
         cand_probs, cand_conflict = candidate_probs(accuracies, detection)
         new_probs = [float(p) for p in cand_probs]
         ref_probs, ref_conflict = reference_probs(accuracies, detection)
@@ -783,6 +819,7 @@ def smoke_grid() -> list[CaseConfig]:
         CaseConfig("detect", "hybrid", pair_layout="sparse"),
         CaseConfig("scan", "bound+", epoch_size=3, pair_layout="sparse"),
         CaseConfig("fusion", "bound+", rounds=3, pair_layout="sparse"),
+        CaseConfig("fusion", "incremental", rounds=4, pair_layout="sparse"),
         # Multi-round fusion: ACCU ("none"), ACCUCOPY under every
         # detector, INCREMENTAL's prepare + incremental rounds.
         *(CaseConfig("fusion", method, rounds=4) for method in FUSION_METHODS),
@@ -831,7 +868,6 @@ def full_grid() -> list[CaseConfig]:
         CaseConfig("scan", "bound+", epoch_size=1, pair_layout="sparse"),
         CaseConfig("detect", "index", n_partitions=2, executor="threads",
                    reduce="tree", pair_layout="sparse"),
-        CaseConfig("fusion", "incremental", rounds=4, pair_layout="sparse"),
         # Longer fusion runs and mixed-backend fusion.
         CaseConfig("fusion", "incremental", rounds=6),
         CaseConfig("fusion", "hybrid", rounds=6),

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import log
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..data import Dataset
 from .contribution import posterior
@@ -133,7 +133,10 @@ class ScanOutcome:
 
     result: DetectionResult
     index: InvertedIndex
-    bookkeeping: dict[tuple[int, int], PairBookkeeping] | None = None
+    #: ``pair -> PairBookkeeping``: a dict from the reference scan, a
+    #: :class:`~repro.core.bound_kernel.BookkeepingColumns` from the
+    #: numpy one.
+    bookkeeping: Mapping[tuple[int, int], PairBookkeeping] | None = None
 
 
 @dataclass

@@ -76,6 +76,9 @@ retired: big worlds now run vectorized.
 
 from __future__ import annotations
 
+import gc
+from collections.abc import Mapping
+from contextlib import contextmanager
 from itertools import chain
 from math import exp, log
 from typing import TYPE_CHECKING, Sequence
@@ -139,6 +142,165 @@ def _cumcount(values: np.ndarray) -> np.ndarray:
     out = np.empty(n, dtype=np.int64)
     out[order] = rank_sorted
     return out
+
+
+def posterior_from_terms(
+    a0: np.ndarray, a1: np.ndarray, a2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. (2) from the max-shifted log terms, bit-identical to the reference.
+
+    :func:`~repro.core.contribution.posterior` takes ``math.exp`` of each
+    shifted term and divides by the builtin ``sum`` of the three; both
+    are reproduced per element here.  The sum matters: from Python 3.12
+    on ``sum`` compensates float rounding, so a vectorized
+    ``(e0 + e1) + e2`` would differ from it in the last bit.
+
+    Returns:
+        ``(independent, forward, backward)`` arrays.
+    """
+    n = len(a0)
+    e = np.fromiter(
+        map(exp, np.concatenate((a0, a1, a2)).tolist()), dtype=np.float64, count=3 * n
+    )
+    e0, e1, e2 = e[:n], e[n : 2 * n], e[2 * n :]
+    total = np.fromiter(
+        map(sum, zip(e0.tolist(), e1.tolist(), e2.tolist())),
+        dtype=np.float64,
+        count=n,
+    )
+    return e0 / total, e1 / total, e2 / total
+
+
+def posterior_columns(
+    c_fwd: np.ndarray, c_bwd: np.ndarray, params: CopyParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`~repro.core.contribution.posterior` per pair, bit for bit."""
+    log_alpha = log(params.alpha)
+    log_beta = log(params.beta)
+    t1 = log_alpha + c_fwd
+    t2 = log_alpha + c_bwd
+    shift = np.maximum(np.maximum(t1, t2), log_beta)
+    return posterior_from_terms(log_beta - shift, t1 - shift, t2 - shift)
+
+
+@contextmanager
+def gc_paused():
+    """Suspend the cyclic garbage collector for a block of bulk allocation.
+
+    Materializing one decision per pair allocates a few container
+    objects per pair, and every 700 allocations trigger a collection
+    that walks the young objects — and, every hundredth time, the whole
+    heap, which here holds the previous rounds' decisions.  The objects
+    built here are acyclic (reference counting frees them), so those
+    passes find nothing; pausing the collector for the block lets it
+    run once afterwards instead of once per 700 objects.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def materialize_decisions(
+    decisions: dict,
+    keys: list,
+    c_fwd: list[float],
+    c_bwd: list[float],
+    independent: list[float],
+    forward: list[float],
+    backward: list[float],
+    copying: list[bool],
+    early: list[bool],
+) -> None:
+    """Add one :class:`PairDecision` per aligned row to ``decisions``,
+    under the row's key.
+
+    The frozen-dataclass ``__init__`` costs ~1us per decision in
+    ``object.__setattr__`` calls, which dominates at one decision per
+    pair; construction writes the slots through their descriptors
+    instead.  Field values, ``__eq__`` and pickling are unaffected.
+    """
+    new_decision = object.__new__
+    new_posterior = tuple.__new__
+    set_c_fwd = PairDecision.c_fwd.__set__
+    set_c_bwd = PairDecision.c_bwd.__set__
+    set_posterior = PairDecision.posterior.__set__
+    set_copying = PairDecision.copying.__set__
+    set_early = PairDecision.early.__set__
+    with gc_paused():
+        for i, key in enumerate(keys):
+            decision = new_decision(PairDecision)
+            set_c_fwd(decision, c_fwd[i])
+            set_c_bwd(decision, c_bwd[i])
+            set_posterior(
+                decision,
+                new_posterior(CopyPosterior, (independent[i], forward[i], backward[i])),
+            )
+            set_copying(decision, copying[i])
+            set_early(decision, early[i])
+            decisions[key] = decision
+
+
+class BookkeepingColumns(Mapping):
+    """INCREMENTAL bookkeeping as aligned columns in ascending pair-key order.
+
+    What the epoch scan records per pair (see
+    :class:`~repro.core.bound.PairBookkeeping`), one numpy array per
+    field.  The columnar INCREMENTAL state takes the arrays as they are;
+    everyone else reads it as the ``pair -> PairBookkeeping`` mapping
+    the reference scan returns, built on first lookup.
+    """
+
+    FIELDS = (
+        "copying", "early", "c_base_fwd", "c_base_bwd",
+        "decision_pos", "n_before", "n_after", "l",
+    )
+
+    def __init__(self, s1: np.ndarray, s2: np.ndarray, **columns: np.ndarray):
+        self.s1 = s1
+        self.s2 = s2
+        self.columns = columns
+        self._books: dict | None = None
+
+    @classmethod
+    def from_mapping(cls, books: Mapping) -> "BookkeepingColumns":
+        """Columns from a ``pair -> PairBookkeeping`` mapping."""
+        pairs = sorted(books)
+        rows = [books[pair] for pair in pairs]
+        return cls(
+            np.array([pair[0] for pair in pairs], dtype=np.int64),
+            np.array([pair[1] for pair in pairs], dtype=np.int64),
+            **{
+                name: np.array([getattr(row, name) for row in rows])
+                for name in cls.FIELDS
+            },
+        )
+
+    def _mapping(self) -> dict:
+        if self._books is None:
+            from .bound import PairBookkeeping
+
+            with gc_paused():
+                self._books = dict(zip(
+                    zip(self.s1.tolist(), self.s2.tolist()),
+                    map(
+                        PairBookkeeping,
+                        *(self.columns[name].tolist() for name in self.FIELDS),
+                    ),
+                ))
+        return self._books
+
+    def __getitem__(self, pair):
+        return self._mapping()[pair]
+
+    def __iter__(self):
+        return iter(self._mapping())
+
+    def __len__(self) -> int:
+        return len(self.s1)
 
 
 class EpochScan:
@@ -768,39 +930,23 @@ class EpochScan:
 
     def _materialize_done(self) -> dict[int, tuple[PairDecision, int, int]]:
         done: dict[int, tuple[PairDecision, int, int]] = {}
-        # The frozen-dataclass __init__ costs ~1us per decision in
-        # object.__setattr__ calls; at one decision per concluded pair
-        # that dominates, so construction goes through __new__ +
-        # __dict__ directly.  Field values, __eq__, and pickling are
-        # unaffected.
-        new_decision = object.__new__
-        new_posterior = tuple.__new__
         for batch in self._done_batches:
             keys, c_fwd, c_bwd, a0, a1, a2, is_min, positions, n_before = batch
             keys_l = keys.tolist()
-            cf_l = c_fwd.tolist()
-            cb_l = c_bwd.tolist()
-            a0_l = a0.tolist()
-            a1_l = a1.tolist()
-            a2_l = a2.tolist()
-            pos_l = positions.tolist()
-            nb_l = n_before.tolist()
-            for i, copying in enumerate(is_min.tolist()):
-                e0 = exp(a0_l[i])
-                e1 = exp(a1_l[i])
-                e2 = exp(a2_l[i])
-                total = e0 + e1 + e2
-                decision = new_decision(PairDecision)
-                decision.__dict__.update({
-                    "c_fwd": cf_l[i],
-                    "c_bwd": cb_l[i],
-                    "posterior": new_posterior(
-                        CopyPosterior, (e0 / total, e1 / total, e2 / total)
-                    ),
-                    "copying": copying,
-                    "early": True,
-                })
-                done[keys_l[i]] = (decision, pos_l[i], nb_l[i])
+            decisions: dict[int, PairDecision] = {}
+            materialize_decisions(
+                decisions,
+                keys_l,
+                c_fwd.tolist(),
+                c_bwd.tolist(),
+                *(column.tolist() for column in posterior_from_terms(a0, a1, a2)),
+                is_min.tolist(),
+                [True] * len(keys_l),
+            )
+            done.update(zip(
+                keys_l,
+                zip(decisions.values(), positions.tolist(), n_before.tolist()),
+            ))
         return done
 
     # ------------------------------------------------------------------
@@ -808,6 +954,15 @@ class EpochScan:
     # ------------------------------------------------------------------
     def finalize(self, method_name: str):
         """Step IV: resolve surviving pairs exactly; assemble the result.
+
+        The scan queued concluded pairs as compact array batches;
+        survivors (active/exact) get the same vectorized
+        posterior-argument treatment (IEEE order-independent ops,
+        bit-identical scalars), then one key-sorted pass materializes
+        every :class:`PairDecision` — and, when tracked, every
+        :class:`~repro.core.bound.PairBookkeeping` — exactly once.
+        Ascending slots are ascending keys in both layouts (sparse slots
+        are sorted-key ranks), so the dicts are populated in key order.
 
         Returns:
             ``(result, bookkeeping)`` matching the reference scan's
@@ -818,162 +973,79 @@ class EpochScan:
         cost.values_examined = self.incidences
         cost.computations = self.score_updates + self.bound_evals
         decisions: dict[tuple[int, int], PairDecision] = {}
-        bookkeeping = {} if self.track else None
-        n = self.n_sources
+        bookkeeping = None
         ln_diff = self.ln_diff
-        if bookkeeping is not None:
-            from .bound import PairBookkeeping
         live_slots = np.nonzero(self.status)[0]
-        status_live = self.status[live_slots]
         cost.pairs_considered += len(live_slots)
-        la = self._log_alpha
-        lb = self._log_beta
-        if bookkeeping is None:
-            # Fast path: the scan queued concluded pairs as compact
-            # array batches; survivors (active/exact) get the same
-            # vectorized posterior-argument treatment (IEEE
-            # order-independent ops, bit-identical scalars), then one
-            # key-sorted pass materializes every PairDecision exactly
-            # once.  Ascending keys reproduce the dense path's dict
-            # population order.
-            surv_idx = np.nonzero(status_live <= _EXACT)[0]
-            parts = [
-                (b[0], b[1], b[2], b[3], b[4], b[5], b[6].astype(np.int8))
-                for b in self._done_batches
-            ]
-            if len(surv_idx):
-                cost.score_update(2 * len(surv_idx))
-                surv_keys = live_slots[surv_idx]
-                penalty = (
-                    self.l_arr[surv_keys] - self.n0[surv_keys]
-                ) * ln_diff
-                c_fwd_s = self.c0_fwd[surv_keys] + penalty
-                c_bwd_s = self.c0_bwd[surv_keys] + penalty
-                t1 = la + c_fwd_s
-                t2 = la + c_bwd_s
-                shift = np.maximum(np.maximum(t1, t2), lb)
-                # flag -1: decision from the posterior, early=False.
-                parts.append((
-                    surv_keys, c_fwd_s, c_bwd_s,
-                    lb - shift, t1 - shift, t2 - shift,
-                    np.full(len(surv_idx), -1, dtype=np.int8),
-                ))
-            if parts:
-                keys_all = np.concatenate([p[0] for p in parts])
-                order = np.argsort(keys_all)
-                s1_all, s2_all = self.space.decode(keys_all[order])
-                s1_l = s1_all.tolist()
-                s2_l = s2_all.tolist()
-                cf_l = np.concatenate([p[1] for p in parts])[order].tolist()
-                cb_l = np.concatenate([p[2] for p in parts])[order].tolist()
-                a0_l = np.concatenate([p[3] for p in parts])[order].tolist()
-                a1_l = np.concatenate([p[4] for p in parts])[order].tolist()
-                a2_l = np.concatenate([p[5] for p in parts])[order].tolist()
-                flags = np.concatenate([p[6] for p in parts])[order]
-                # math.exp per scalar (the reference's exp), batched
-                # through map; the fold (e0 + e1) + e2 and the
-                # divisions then run vectorized over the same operands
-                # in the same order — bit-identical posteriors.
-                e0 = np.array(list(map(exp, a0_l)))
-                e1 = np.array(list(map(exp, a1_l)))
-                e2 = np.array(list(map(exp, a2_l)))
-                total = (e0 + e1) + e2
-                ind_l = (e0 / total).tolist()
-                fwd_l = (e1 / total).tolist()
-                bwd_l = (e2 / total).tolist()
-                cop_l = np.where(
-                    flags < 0, np.asarray(ind_l) <= 0.5, flags == 1
-                ).tolist()
-                early_l = (flags >= 0).tolist()
-                new_decision = object.__new__
-                new_posterior = tuple.__new__
-                for i in range(len(s1_l)):
-                    decision = new_decision(PairDecision)
-                    decision.__dict__.update({
-                        "c_fwd": cf_l[i],
-                        "c_bwd": cb_l[i],
-                        "posterior": new_posterior(
-                            CopyPosterior, (ind_l[i], fwd_l[i], bwd_l[i])
-                        ),
-                        "copying": cop_l[i],
-                        "early": early_l[i],
-                    })
-                    decisions[(s1_l[i], s2_l[i])] = decision
-        else:
-            # Ascending slots iterate in ascending key order in both
-            # layouts (sparse slots are sorted-key ranks), so the
-            # result dicts are populated in the same order as the dense
-            # path always was.
-            s1_live, s2_live = self.space.decode(live_slots)
-            slots_l = live_slots.tolist()
-            s1_l = s1_live.tolist()
-            s2_l = s2_live.tolist()
-            status_l = status_live.tolist()
-            l_list = self.l_arr[live_slots].tolist()
-            c0f_list = self.c0_fwd[live_slots].tolist()
-            c0b_list = self.c0_bwd[live_slots].tolist()
-            n0_list = self.n0[live_slots].tolist()
-            n_aft_list = self.n_after[live_slots].tolist()
-            for i, key in enumerate(slots_l):
-                pair = (s1_l[i], s2_l[i])
-                l_shared = l_list[i]
-                c0f = c0f_list[i]
-                c0b = c0b_list[i]
-                if status_l[i] in (_ACTIVE, _EXACT):
-                    # Scan-end resolution (Step IV): contribution.
-                    # posterior inlined with the logs hoisted —
-                    # identical operations in identical order, so the
-                    # floats match the reference bit for bit.
-                    cost.score_update(2)
-                    n0 = n0_list[i]
-                    penalty = (l_shared - n0) * ln_diff
-                    c_fwd = c0f + penalty
-                    c_bwd = c0b + penalty
-                    t1 = la + c_fwd
-                    t2 = la + c_bwd
-                    shift = lb
-                    if t1 > shift:
-                        shift = t1
-                    if t2 > shift:
-                        shift = t2
-                    e0 = exp(lb - shift)
-                    e1 = exp(t1 - shift)
-                    e2 = exp(t2 - shift)
-                    total = e0 + e1 + e2
-                    post = CopyPosterior(
-                        independent=e0 / total,
-                        forward=e1 / total,
-                        backward=e2 / total,
-                    )
-                    decision = PairDecision(
-                        c_fwd=c_fwd,
-                        c_bwd=c_bwd,
-                        posterior=post,
-                        copying=post.copying,
-                        early=False,
-                    )
-                    decision_pos = end_position
-                    n_before = n0
-                    n_aft = 0
-                else:
-                    decision, decision_pos, n_before = self.done[key]
-                    n_aft = n_aft_list[i]
-                decisions[pair] = decision
-                n_total = n_before + n_aft
-                base_penalty = (l_shared - n_total) * ln_diff
-                bookkeeping[pair] = PairBookkeeping(
-                    copying=decision.copying,
-                    early=decision.early,
-                    c_base_fwd=c0f + base_penalty,
-                    c_base_bwd=c0b + base_penalty,
-                    decision_pos=decision_pos,
+        # Per batch: keys, c_fwd, c_bwd, the three shifted posterior
+        # terms, a verdict flag (1 copying, 0 not, -1 from the
+        # posterior), the decision position and n_before.
+        parts = [
+            (b[0], b[1], b[2], b[3], b[4], b[5], b[6].astype(np.int8), b[7], b[8])
+            for b in self._done_batches
+        ]
+        surv_keys = live_slots[self.status[live_slots] <= _EXACT]
+        if len(surv_keys):
+            cost.score_update(2 * len(surv_keys))
+            n0 = self.n0[surv_keys]
+            penalty = (self.l_arr[surv_keys] - n0) * ln_diff
+            c_fwd_s = self.c0_fwd[surv_keys] + penalty
+            c_bwd_s = self.c0_bwd[surv_keys] + penalty
+            la = self._log_alpha
+            lb = self._log_beta
+            t1 = la + c_fwd_s
+            t2 = la + c_bwd_s
+            shift = np.maximum(np.maximum(t1, t2), lb)
+            parts.append((
+                surv_keys, c_fwd_s, c_bwd_s,
+                lb - shift, t1 - shift, t2 - shift,
+                np.full(len(surv_keys), -1, dtype=np.int8),
+                np.full(len(surv_keys), end_position, dtype=np.int64),
+                n0,
+            ))
+        if parts:
+            cols = [np.concatenate(column) for column in zip(*parts)]
+            order = np.argsort(cols[0])
+            keys = cols[0][order]
+            c_fwd, c_bwd, a0, a1, a2, flags = (col[order] for col in cols[1:7])
+            s1_all, s2_all = self.space.decode(keys)
+            pairs = list(zip(s1_all.tolist(), s2_all.tolist()))
+            ind, fwd, bwd = posterior_from_terms(a0, a1, a2)
+            copying = np.where(flags < 0, ind <= 0.5, flags == 1)
+            early = flags >= 0
+            materialize_decisions(
+                decisions,
+                pairs,
+                c_fwd.tolist(),
+                c_bwd.tolist(),
+                ind.tolist(),
+                fwd.tolist(),
+                bwd.tolist(),
+                copying.tolist(),
+                early.tolist(),
+            )
+            if self.track:
+                n_before = cols[8][order]
+                n_after = np.where(flags < 0, 0, self.n_after[keys])
+                l_shared = self.l_arr[keys]
+                base_penalty = (l_shared - (n_before + n_after)) * ln_diff
+                bookkeeping = BookkeepingColumns(
+                    s1_all,
+                    s2_all,
+                    copying=copying,
+                    early=early,
+                    c_base_fwd=self.c0_fwd[keys] + base_penalty,
+                    c_base_bwd=self.c0_bwd[keys] + base_penalty,
+                    decision_pos=cols[7][order],
                     n_before=n_before,
-                    n_after=n_aft,
+                    n_after=n_after,
                     l=l_shared,
                 )
+        if self.track and bookkeeping is None:
+            bookkeeping = BookkeepingColumns.from_mapping({})
         result = DetectionResult(
             method=method_name,
-            n_sources=n,
+            n_sources=self.n_sources,
             decisions=decisions,
             cost=cost,
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..data import Dataset
 from .bound import (
@@ -37,6 +37,9 @@ from .index_algo import detect_index
 from .pairwise import detect_pairwise
 from .params import EXECUTORS, PARTITION_AXES, REDUCE_MODES, CopyParams
 from .result import DetectionResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .incremental_kernel import ColumnarIncrementalState
 
 #: Names accepted by :func:`detect` and the CLI.
 METHODS = ("pairwise", "index", "bound", "bound+", "hybrid")
@@ -389,12 +392,21 @@ class IncrementalDetector(_WorkspaceMixin):
     """Stateful detector implementing the paper's INCREMENTAL schedule.
 
     Rounds 1 and 2 run HYBRID from scratch (round 2 with bookkeeping —
-    the preparation round); rounds 3+ run :func:`incremental_round`.
+    the preparation round); rounds 3+ run the three-pass incremental
+    update.  ``backend`` routes every round: under ``"numpy"`` the
+    HYBRID rounds run the epoch-batched scan and the incremental rounds
+    the columnar kernel (:func:`~repro.core.incremental_kernel.
+    columnar_round`); under ``"python"`` both run the pure-Python
+    reference (:func:`incremental_round`).  The two are bit-identical
+    in decisions, ``changed_pairs``, :class:`RoundStats` and stored
+    per-pair state.
 
     Attributes:
-        state: the cross-round :class:`IncrementalState` (available after
-            round 2; exposes per-round :class:`RoundStats` via
-            ``state.history`` for Table VIII).
+        state: the cross-round state (available after the preparation
+            round): an :class:`IncrementalState` under the python
+            backend, a :class:`ColumnarIncrementalState` under numpy.
+            Both expose per-round :class:`RoundStats` via
+            ``state.history`` for Table VIII.
     """
 
     def __init__(
@@ -410,10 +422,6 @@ class IncrementalDetector(_WorkspaceMixin):
         pair_layout: str | None = None,
     ):
         if backend is not None and backend != params.backend:
-            # Routes the from-scratch HYBRID rounds (1, 2 and the
-            # preparation round's bookkeeping) through the epoch-batched
-            # numpy scan; the bookkeeping it hands to incremental_round
-            # is bit-identical to the Python reference's.
             params = replace(params, backend=backend)
         if pair_layout is not None and pair_layout != params.pair_layout:
             params = replace(params, pair_layout=pair_layout)
@@ -424,7 +432,7 @@ class IncrementalDetector(_WorkspaceMixin):
         self.rho_value = rho_value
         self.rho_accuracy = rho_accuracy
         self.prepare_round = prepare_round
-        self.state: IncrementalState | None = None
+        self.state: IncrementalState | ColumnarIncrementalState | None = None
         self._shared_items_cache: tuple[Dataset, dict] | None = None
 
     @property
@@ -453,7 +461,11 @@ class IncrementalDetector(_WorkspaceMixin):
                 epoch_size=self.epoch_size,
             ).result
         elif round_no == self.prepare_round or self.state is None:
-            result, self.state = prepare_incremental(
+            if self.params.backend == "numpy":
+                from .incremental_kernel import prepare_columnar as prepare
+            else:
+                prepare = prepare_incremental
+            result, self.state = prepare(
                 dataset,
                 probabilities,
                 accuracies,
@@ -464,7 +476,11 @@ class IncrementalDetector(_WorkspaceMixin):
                 epoch_size=self.epoch_size,
             )
         else:
-            result = incremental_round(
+            if isinstance(self.state, IncrementalState):
+                step = incremental_round
+            else:
+                from .incremental_kernel import columnar_round as step
+            result = step(
                 self.state,
                 probabilities,
                 accuracies,

@@ -48,6 +48,10 @@ second pass), and pass 3 performs a full exact rebuild rather than
 entry-wise patching of small changes (the paper's Example 5.1 does the
 same "compute precise scores" for the ambiguous pair).  Both produce the
 same verdicts; only the pass at which a rare pair terminates can differ.
+
+This module is the pure-Python reference (the oracle);
+:mod:`repro.core.incremental_kernel` runs the same round over flat
+arrays, bit for bit, and is what ``backend="numpy"`` uses.
 """
 
 from __future__ import annotations
@@ -132,6 +136,10 @@ class IncrementalState:
     #: tail-score-sum level above which unbooked tail pairs are
     #: re-examined (see ``_reopen_tail_pairs``); starts at theta_ind.
     reopen_level: float = float("inf")
+
+    def decision_positions(self) -> dict[tuple[int, int], int]:
+        """Per-pair decision position, keyed like the detection result."""
+        return {key: record.decision_pos for key, record in self.pairs.items()}
 
 
 def prepare_incremental(

@@ -67,9 +67,12 @@ class CostCounter:
         self.values_examined += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairDecision:
     """Final verdict for one source pair ``(s1, s2)`` with ``s1 < s2``.
+
+    Slotted: a run holds one per decided pair per round, and without a
+    per-instance ``__dict__`` each takes about a quarter of the memory.
 
     Attributes:
         c_fwd: accumulated ``C(s1 -> s2)`` (may be a bound if ``early``).

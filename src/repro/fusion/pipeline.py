@@ -184,16 +184,14 @@ def _as_float_list(values) -> list[float]:
 def _decision_positions(detector) -> dict[tuple[int, int], int] | None:
     """Per-pair decision positions from a stateful detector's bookkeeping.
 
-    The INCREMENTAL detector keeps a ``_PairRecord`` (with the
-    :class:`~repro.core.bound.PairBookkeeping` decision position) per
-    opened pair; stateless detectors have none, and the snapshot stores
-    -1 for their pairs.
+    The INCREMENTAL detector's state records the decision position of
+    every opened pair; stateless detectors have none, and the snapshot
+    stores -1 for their pairs.
     """
     state = getattr(detector, "state", None)
-    pairs = getattr(state, "pairs", None)
-    if pairs is None:
+    if state is None:
         return None
-    return {key: record.decision_pos for key, record in pairs.items()}
+    return state.decision_positions()
 
 
 def run_fusion(

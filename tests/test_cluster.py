@@ -9,6 +9,7 @@ TCP — exactly the simulated-cluster setup of ``benchmarks/bench_cluster``
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 
@@ -25,6 +26,7 @@ from repro.cluster import (
 )
 from repro.cluster.wire import (
     MAGIC,
+    MAX_PAYLOAD,
     WIRE_VERSION,
     encode_message,
     recv_message,
@@ -123,6 +125,25 @@ class TestWire:
             left.sendall(bytes(frame))
             left.close()
             with pytest.raises(ClusterError, match="checksum"):
+                recv_message(right)
+        finally:
+            right.close()
+
+    @pytest.mark.parametrize("claimed", [1 << 44, -1, MAX_PAYLOAD + 1, 2.5, "8"])
+    def test_bad_payload_length_raises_before_allocating(self, claimed):
+        """A corrupt header's payload length is refused up front: no
+        raw MemoryError (huge), ValueError (negative) or TypeError."""
+        header = json.dumps({
+            "kind": "task", "meta": {}, "arrays": [],
+            "payload_crc32": 0, "payload_length": claimed,
+        }).encode("utf-8")
+        pad = b"\0" * (-(12 + len(header)) % 8)
+        frame = struct.pack("<4sII", MAGIC, WIRE_VERSION, len(header)) + header + pad
+        left, right = socket.socketpair()
+        try:
+            left.sendall(frame)
+            left.close()
+            with pytest.raises(ClusterError, match="payload length"):
                 recv_message(right)
         finally:
             right.close()
