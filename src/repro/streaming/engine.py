@@ -41,11 +41,11 @@ rounds — the cross-epoch savings come from accuracy warm-starts (fewer
 rounds to re-converge), workspace reuse (no pool/shm setup), and delta
 snapshots (publish only what moved).  Measured on the benchmark's
 ``stream_growing`` workload (50 epochs growing the ledger from 3k to
-7k claims, seed 1, 2-CPU x86 box): 9.7 s in all, 5.9 s of it detection
-— about half the HYBRID preparation round that rebuilds the
+7k claims, seed 1, traced, 2-CPU x86 box): 9.8 s in all, 6.4 s of it
+detection — about half the HYBRID preparation round that rebuilds the
 bookkeeping, half the columnar INCREMENTAL rounds — then fusion
-updates 1.5 s, workspace rebinds 0.8 s, publishing 0.8 s and index
-builds 0.7 s.
+updates 1.6 s, publishing 1.0 s, index builds 0.8 s and workspace
+rebinds 0.7 s.
 """
 
 from __future__ import annotations
